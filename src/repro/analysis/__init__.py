@@ -14,11 +14,11 @@ The stack, bottom to top (each layer consumes only the one below):
                  to fire any transform without an ``ok`` verdict.
 ``validate``   — :class:`ProgramValidator`, run at every ingestion
                  boundary (codec, serve, campaign).
-``cache``      — digest-keyed LRU so repeated ingestion of the same
-                 program pays the analysis once.
+``cache``      — digest-keyed LRU of :class:`ProgramAnalysis`: one parse
+                 per program, each further fact computed on first read.
 """
 
-from .cache import AnalysisCache, GLOBAL_ANALYSIS_CACHE, ProgramAnalysis, compute_analysis
+from .cache import AnalysisCache, GLOBAL_ANALYSIS_CACHE, ProgramAnalysis
 from .dataflow import (
     AffineExpr,
     ArrayAccess,
@@ -79,7 +79,6 @@ __all__ = [
     "can_interchange",
     "can_tile",
     "can_unroll",
-    "compute_analysis",
     "direction_vectors",
     "distribution_items",
     "legality_matrix",

@@ -2,22 +2,22 @@
 
 Mirrors the :class:`repro.profiler.StaticProfileCache` contract —
 bounded LRU, thread-safe, hit/miss counters, a process-wide default —
-keyed by the program content digest so serve handlers and campaign
-cells validating the same program pay the analysis once.
+keyed by the program content digest so serve handlers, request
+building and campaign cells that see the same program parse it once.
 
-An explicit ``None`` check is required when threading a cache through
-constructors: an empty :class:`AnalysisCache` is falsy-free by design
-(it defines no ``__bool__``), but ``len()`` consumers exist, so never
-write ``cache or GLOBAL_ANALYSIS_CACHE``.
+Thread a cache through constructors with an explicit ``None`` check,
+never ``cache or GLOBAL_ANALYSIS_CACHE``: ``__len__`` makes an empty
+:class:`AnalysisCache` falsy, so the ``or`` form would silently swap an
+injected empty cache for the global one.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import LexError, ParseError
 from ..lang import ast, parse
 from ..sim import program_digest
 from .dependence import DependenceReport, analyze_dependences
@@ -26,45 +26,56 @@ from .validate import ProgramValidator, ValidationReport
 __all__ = ["AnalysisCache", "GLOBAL_ANALYSIS_CACHE", "ProgramAnalysis"]
 
 
-@dataclass(frozen=True)
 class ProgramAnalysis:
-    """Everything the analysis layer derives from one program."""
+    """Everything the analysis layer derives from one program.
 
-    digest: str
-    program: ast.Program
-    validation: ValidationReport
-    dependences: "OrderedDict[str, DependenceReport]"
+    The source is parsed once, when the analysis is made; every other
+    fact is derived from that AST on first read and then kept.
+    :attr:`validation` and :attr:`dependences` are each computed at most
+    once, also under concurrent readers, so a caller pays only for what
+    it reads: admission reads the verdict, request building the AST, and
+    ``repro analyze`` the dependences.
+
+    Source that does not parse gets an empty placeholder :attr:`program`,
+    ``parsed == False`` and a ``parse`` error verdict.
+    """
+
+    def __init__(
+        self, program: ast.Program | str, digest: Optional[str] = None
+    ) -> None:
+        self.digest = digest or program_digest(program)
+        self.parsed = True
+        self._validation: Optional[ValidationReport] = None
+        self._dependences: Optional[dict[str, DependenceReport]] = None
+        self._lock = threading.Lock()
+        if isinstance(program, str):
+            try:
+                program = parse(program)
+            except (LexError, ParseError) as exc:
+                self.parsed = False
+                self._validation = ValidationReport.parse_failure(exc)
+                program = ast.Program(functions=[])
+        self.program = program
 
     @property
-    def ok(self) -> bool:
-        return self.validation.ok
+    def validation(self) -> ValidationReport:
+        if self._validation is None:
+            with self._lock:
+                if self._validation is None:
+                    self._validation = ProgramValidator().validate(self.program)
+        return self._validation
 
-    def report(self, function: str) -> Optional[DependenceReport]:
-        return self.dependences.get(function)
-
-
-def compute_analysis(
-    program: ast.Program | str, digest: Optional[str] = None
-) -> ProgramAnalysis:
-    """Run validation + dependence analysis once (no caching)."""
-    source_digest = digest or program_digest(program)
-    validation = ProgramValidator().validate(program)
-    dependences: "OrderedDict[str, DependenceReport]" = OrderedDict()
-    if isinstance(program, str):
-        if validation.ok or validation.functions:
-            program = parse(program)
-        else:
-            # unparsable source: keep an empty program placeholder
-            program = ast.Program(functions=[])
-    if validation.functions:
-        for func in program.functions:
-            dependences[func.name] = analyze_dependences(func)
-    return ProgramAnalysis(
-        digest=source_digest,
-        program=program,
-        validation=validation,
-        dependences=dependences,
-    )
+    @property
+    def dependences(self) -> dict[str, DependenceReport]:
+        """Dependence report per function, in program order."""
+        if self._dependences is None:
+            with self._lock:
+                if self._dependences is None:
+                    self._dependences = {
+                        func.name: analyze_dependences(func)
+                        for func in self.program.functions
+                    }
+        return self._dependences
 
 
 class AnalysisCache:
@@ -94,7 +105,7 @@ class AnalysisCache:
                 self.hits += 1
                 return cached
             self.misses += 1
-        analysis = compute_analysis(program, digest=digest)
+        analysis = ProgramAnalysis(program, digest=digest)
         with self._lock:
             self._entries[digest] = analysis
             while len(self._entries) > self._maxsize:

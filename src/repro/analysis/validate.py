@@ -83,6 +83,11 @@ class ValidationReport:
             "warnings": [i.describe() for i in self.warnings],
         }
 
+    @classmethod
+    def parse_failure(cls, exc: Exception) -> "ValidationReport":
+        """The verdict on source that does not lex or parse."""
+        return cls(issues=(ValidationIssue("error", "parse", "", str(exc)),))
+
     def raise_if_invalid(self, context: str = "") -> "ValidationReport":
         if self.ok:
             return self
@@ -110,9 +115,7 @@ class ProgramValidator:
             try:
                 program = parse(program)
             except (LexError, ParseError) as exc:
-                return ValidationReport(
-                    issues=(ValidationIssue("error", "parse", "", str(exc)),)
-                )
+                return ValidationReport.parse_failure(exc)
         if not program.functions:
             return ValidationReport(
                 issues=(

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..hls import HardwareParams
-from ..ir import build_dataflow_graph
+from ..ir import DataflowGraph, build_dataflow_graph
 from ..lang import ast, format_function, parse
-from ..lang.analysis import OperatorClass, analyze_function
+from ..lang.analysis import OperatorClass
 from ..lang.normalize import normalize as normalize_program
 from ..sim import describe_data
 from ..tokenizer import ModelInput
@@ -20,6 +20,7 @@ def bundle_from_program(
     think_text: str = "",
     graph_function: Optional[str] = None,
     normalize: bool = False,
+    graph: Optional[DataflowGraph] = None,
 ) -> ModelInput:
     """Render the paper's ``{G, Op, Params, data}`` quadruple as text.
 
@@ -31,12 +32,17 @@ def bundle_from_program(
     renaming, constant folding, identity simplification) — the paper's
     §7.2 future-work mitigation for deeply abstracted programs.  Use
     the same setting at training and prediction time.
+
+    *graph* is the program's operator graph when the caller has already
+    built it (as :func:`class_i_segments` also reads it); it is built
+    here otherwise.
     """
     if isinstance(program, str):
         program = parse(program)
     if normalize:
         program = normalize_program(program)
-    graph = build_dataflow_graph(program, graph_function)
+    if graph is None:
+        graph = build_dataflow_graph(program, graph_function)
     graph_func = program.function(graph.graph_function)
     op_texts = [
         format_function(func)
@@ -54,20 +60,20 @@ def bundle_from_program(
 
 
 def class_i_segments(
-    program: ast.Program | str, graph_function: Optional[str] = None
+    program: ast.Program | str,
+    graph_function: Optional[str] = None,
+    graph: Optional[DataflowGraph] = None,
 ) -> list[str]:
     """Names of the operator segments whose control flow is input
     independent (Class I) — the segments the separation mask decouples
-    from runtime data."""
-    if isinstance(program, str):
-        program = parse(program)
-    graph = build_dataflow_graph(program, graph_function)
-    operators = [
-        func for func in program.functions if func.name != graph.graph_function
+    from runtime data.  They are read off the operator graph's
+    classification, *graph* when the caller has already built it."""
+    if graph is None:
+        if isinstance(program, str):
+            program = parse(program)
+        graph = build_dataflow_graph(program, graph_function)
+    return [
+        f"op{index}"
+        for index, operator_class in enumerate(graph.operator_classes)
+        if operator_class is OperatorClass.CLASS_I
     ]
-    segments = []
-    for index, func in enumerate(operators):
-        report = analyze_function(func)
-        if report.operator_class is OperatorClass.CLASS_I:
-            segments.append(f"op{index}")
-    return segments

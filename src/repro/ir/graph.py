@@ -41,6 +41,9 @@ class DataflowGraph:
     graph_function: str
     calls: list[OperatorCall]
     nx_graph: nx.DiGraph
+    # Class of every function but the graph function, in program order:
+    # entry i classifies the model input's operator segment ``op{i}``.
+    operator_classes: tuple[OperatorClass, ...]
 
     @property
     def operator_count(self) -> int:
@@ -113,18 +116,15 @@ def build_dataflow_graph(
             graph_function = names[-1]
     top = program.function(graph_function)
     defined = {func.name: func for func in program.functions}
-    reports = {
-        name: analyze_function(func)
-        for name, func in defined.items()
-        if name != graph_function
-    }
+    operators = [func for func in program.functions if func.name != graph_function]
+    operator_classes = tuple(
+        analyze_function(func).operator_class for func in operators
+    )
+    class_of = dict(zip((func.name for func in operators), operator_classes))
     calls: list[OperatorCall] = []
     for call_expr in ast.calls_in(top.body):
         callee = defined.get(call_expr.name)
         reads, writes = _infer_read_write(callee, call_expr.args)
-        operator_class = OperatorClass.CLASS_I
-        if call_expr.name in reports:
-            operator_class = reports[call_expr.name].operator_class
         calls.append(
             OperatorCall(
                 index=len(calls),
@@ -135,7 +135,7 @@ def build_dataflow_graph(
                 ],
                 reads=reads,
                 writes=writes,
-                operator_class=operator_class,
+                operator_class=class_of.get(call_expr.name, OperatorClass.CLASS_I),
             )
         )
     graph = nx.DiGraph()
@@ -148,7 +148,12 @@ def build_dataflow_graph(
                 graph.add_edge(last_writer[array], call.index, array=array)
         for array in call.writes:
             last_writer[array] = call.index
-    return DataflowGraph(graph_function=graph_function, calls=calls, nx_graph=graph)
+    return DataflowGraph(
+        graph_function=graph_function,
+        calls=calls,
+        nx_graph=graph,
+        operator_classes=operator_classes,
+    )
 
 
 # -- statement-level program graph (GNNHLS representation) -------------

@@ -51,7 +51,7 @@ class _Entry(NamedTuple):
 
 @dataclass
 class BatchStats:
-    """Flush-side counters, including the batch-size histogram.
+    """Submission and flush counters, including the batch-size histogram.
 
     ``record()`` runs on the batcher worker thread while ``as_dict()``
     serves concurrent ``/stats`` requests from HTTP handler threads, so
@@ -59,12 +59,17 @@ class BatchStats:
     races its mutation (RuntimeError: dict changed size).
     """
 
+    submitted: int = 0
     batches: int = 0
     requests: int = 0
     size_histogram: dict[int, int] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def record_submit(self) -> None:
+        with self._lock:
+            self.submitted += 1
 
     def record(self, size: int) -> None:
         with self._lock:
@@ -79,6 +84,7 @@ class BatchStats:
     def as_dict(self) -> dict:
         with self._lock:
             return {
+                "submitted": self.submitted,
                 "batches": self.batches,
                 "requests": self.requests,
                 "mean_batch_size": round(self.mean_batch_size, 2),
@@ -137,6 +143,7 @@ class MicroBatcher:
         self._queue.put(
             _Entry(item, future, TRACER.current_context(), clock.now())
         )
+        self.stats.record_submit()
         return future
 
     def close(self, timeout: Optional[float] = None) -> None:

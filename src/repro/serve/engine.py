@@ -6,6 +6,12 @@ requests.  It owns
 * a :class:`ModelRegistry` — named checkpoints, loaded lazily on first
   use and primed with a warm-up encode so the first real request does
   not pay one-time initialization;
+* an :class:`~repro.analysis.cache.AnalysisCache` (the global one; a
+  :class:`PredictionServer` given its own cache assigns it here, so
+  admission and request building share it) — request building takes
+  the parsed AST from its entry, so a program is parsed once however
+  many components ingest it, and facts nobody reads (dependences) are
+  never computed;
 * a tiered cache — a bounded result LRU (full :class:`CostPrediction`
   per request digest) in front of a per-model exact-mode
   :class:`CachedPredictor` (pooled encodings, so e.g. the data-free
@@ -32,6 +38,7 @@ from ..core.acceleration import CachedPredictor
 from ..core.inputs import bundle_from_program, class_i_segments
 from ..errors import ServeError
 from ..hls import HardwareParams
+from ..ir import build_dataflow_graph
 from ..lang import parse
 from ..nn import load_model
 from ..profiler import STATIC_METRICS, Profiler, StaticProfileCache
@@ -184,6 +191,7 @@ class PredictionEngine:
         self.static_cache = (
             static_cache if static_cache is not None else StaticProfileCache()
         )
+        self.analysis_cache = GLOBAL_ANALYSIS_CACHE
         self.stats = EngineStats()
         self.max_result_entries = max_result_entries
         self.max_encoding_entries = max_encoding_entries
@@ -246,10 +254,12 @@ class PredictionEngine:
         model: str = "default",
         beam_width: Optional[int] = None,
     ) -> PredictRequest:
-        """Parse *source* and assemble a ready-to-batch request.
+        """Assemble a ready-to-batch request for *source*.
 
-        Parsed bundles are memoized by content digest, so repeated
-        requests for a popular program skip the frontend entirely.
+        The AST comes from :attr:`analysis_cache`, so a program the
+        server already admitted is not parsed again.  Built bundles are
+        memoized by content digest, so repeated requests for a popular
+        program skip the frontend entirely.
         """
         # Fail fast on anything that would otherwise poison a
         # micro-batch with an exception shared by its batch-mates.
@@ -277,9 +287,15 @@ class PredictionEngine:
         with self._lock:
             cached = self._bundles.get(key)
         if cached is None:
-            program = parse(source)
-            bundle = bundle_from_program(program, params=params, data=data or None)
-            segments = tuple(class_i_segments(program))
+            analysis = self.analysis_cache.get(source)
+            # Unparsable source: parse again so the caller gets the
+            # parser's own exception, not a cached one.
+            program = analysis.program if analysis.parsed else parse(source)
+            graph = build_dataflow_graph(program)
+            bundle = bundle_from_program(
+                program, params=params, data=data or None, graph=graph
+            )
+            segments = tuple(class_i_segments(program, graph=graph))
             cached = (bundle, segments)
             with self._lock:
                 self._bundles[key] = cached
@@ -510,7 +526,7 @@ class PredictionEngine:
                     "misses": self.static_cache.misses,
                     "size": len(self.static_cache),
                 },
-                "analysis_cache": GLOBAL_ANALYSIS_CACHE.stats_dict(),
+                "analysis_cache": self.analysis_cache.stats_dict(),
                 "models": {
                     name: {"loaded": self.registry.is_loaded(name)}
                     for name in self.registry.names()

@@ -32,6 +32,14 @@ Endpoints (JSON in / JSON out):
   seconds and return CPU/peak-memory attributed to the spans that were
   open while the window ran (409 if a window is already sampling).
 
+Ingestion parses each program once.  The server and its engine share
+one :class:`~repro.analysis.cache.AnalysisCache` (the one passed as
+``analysis_cache``, else the engine's): admission creates the entry,
+parsing the source and reading its validation verdict, and
+``PredictionEngine.build_request`` takes the AST from the same entry.
+Facts are computed on first read, so dependence analysis, which no
+route reads, never runs on a request.
+
 Incoming POSTs honour ``X-Repro-Trace-Id`` / ``X-Repro-Span-Id``: the
 server-side span joins the client's trace instead of starting its own,
 so one trace id spans client → server → engine → batcher.
@@ -230,14 +238,7 @@ class PredictionServer:
         session: Optional["Session"] = None,
         analysis_cache: Optional["AnalysisCache"] = None,
     ) -> None:
-        from ..analysis.cache import GLOBAL_ANALYSIS_CACHE
         from ..api.session import Session
-
-        # Explicit None check: an empty AnalysisCache is a valid
-        # injected cache and must not fall through to the global one.
-        self.analysis_cache = (
-            analysis_cache if analysis_cache is not None else GLOBAL_ANALYSIS_CACHE
-        )
 
         if session is None:
             if engine is None:
@@ -251,6 +252,12 @@ class PredictionServer:
             raise ServeError("pass either a session or an engine, not both")
         self.session = session
         self.engine = session.engine
+        # Admission and request building share one analysis cache, so a
+        # /predict parses its program once.  Explicit None check: an
+        # empty AnalysisCache is a valid injected cache.
+        if analysis_cache is not None:
+            self.engine.analysis_cache = analysis_cache
+        self.analysis_cache = self.engine.analysis_cache
         self.default_model = default_model or session.default_model
         self.request_timeout_s = request_timeout_s
         self.verbose = verbose

@@ -445,7 +445,11 @@ class TestServer:
         threads = [threading.Thread(target=send) for _ in range(3)]
         for thread in threads:
             thread.start()
-        time.sleep(0.01)  # let requests reach the batcher queue
+        # Close only once every request is in the batcher's hands.
+        deadline = time.monotonic() + 60.0
+        while local.batcher.stats.submitted < 3:
+            assert time.monotonic() < deadline, "requests never reached the batcher"
+            time.sleep(0.001)
         local.close()
         for thread in threads:
             thread.join(timeout=60.0)
